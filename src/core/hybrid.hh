@@ -7,9 +7,10 @@
  *
  * The detector runs HARD's lockset protocol (BFVector candidate sets,
  * LState machine, Lock Register) unchanged, but additionally keeps
- * *non-lock* happens-before state: vector clocks advanced only by
- * barrier and semaphore (hand-crafted synchronization) edges, plus a
- * per-granule last-access epoch. A lockset violation is reported only
+ * *non-lock* happens-before state: the ClockedDetector vector clocks,
+ * advanced by barrier, semaphore, condvar and atomic (hand-crafted
+ * synchronization) edges but not by lock or rwlock edges, plus a
+ * per-granule last-access clock. A lockset violation is reported only
  * if the racing access is NOT ordered after the granule's previous
  * conflicting access by those non-lock edges. Lock edges are
  * deliberately excluded so the detector keeps lockset's
@@ -22,16 +23,15 @@
 #define HARD_CORE_HYBRID_HH
 
 #include <array>
-#include <unordered_map>
 
 #include "core/hard_detector.hh"
-#include "detectors/vclock.hh"
+#include "detectors/sync_clocks.hh"
 
 namespace hard
 {
 
 /** Hybrid HARD+happens-before detector (paper §7). */
-class HybridDetector : public RaceDetector
+class HybridDetector : public ClockedDetector
 {
   public:
     /**
@@ -42,15 +42,15 @@ class HybridDetector : public RaceDetector
 
     void onRead(const MemEvent &ev) override;
     void onWrite(const MemEvent &ev) override;
+
+    /** Locks drive the Lock Register only: their edges stay out of the
+     * non-lock clock domain so lock-discipline bugs remain
+     * interleaving-insensitive. */
     void onLockAcquire(const SyncEvent &ev) override;
     void onLockRelease(const SyncEvent &ev) override;
-    void onBarrier(const BarrierEvent &ev) override;
-    void onSemaPost(const SyncEvent &ev) override;
-    void onSemaWait(const SyncEvent &ev) override;
 
-    /** Rwlocks update the Lock Register mode-blind (see HardDetector);
-     * their edges stay out of the non-lock clock domain so lock-
-     * discipline bugs remain interleaving-insensitive. */
+    /** Rwlocks update the Lock Register mode-blind (see HardDetector),
+     * and likewise add no clock edge. */
     void
     onRwLockAcquire(const SyncEvent &ev, bool writer) override
     {
@@ -65,13 +65,10 @@ class HybridDetector : public RaceDetector
         onLockRelease(ev);
     }
 
-    /** Condvar and atomic release/acquire pairs are hand-crafted
-     * (non-lock) synchronization, pruned exactly like semaphores. */
-    void onCondSignal(const SyncEvent &ev) override;
-    void onCondBroadcast(const SyncEvent &ev) override;
-    void onCondWait(const SyncEvent &ev) override;
-    void onAtomicStore(const SyncEvent &ev) override;
-    void onAtomicLoad(const SyncEvent &ev) override;
+    /** §3.5 candidate-set reset (when configured), then the clocks.
+     * Semaphore, condvar and atomic edges come from the base unchanged:
+     * they are the hand-crafted synchronization the hybrid prunes. */
+    void onBarrier(const BarrierEvent &ev) override;
 
     /** @return lockset violations suppressed by non-lock ordering. */
     std::uint64_t prunedAlarms() const { return pruned_; }
@@ -105,12 +102,6 @@ class HybridDetector : public RaceDetector
     HardConfig cfg_;
     MetaCache<Line> meta_;
     std::array<LockRegister, kMaxThreads> lockRegs_;
-    /** Vector clocks advanced by non-lock edges only (barrier,
-     * semaphore, condvar, atomic release/acquire). */
-    std::array<VClock, kMaxThreads> nonLockVc_{};
-    std::unordered_map<Addr, VClock> semaVc_;
-    std::unordered_map<Addr, VClock> condVc_;
-    std::unordered_map<Addr, VClock> atomVc_;
     std::uint64_t pruned_ = 0;
 };
 

@@ -30,7 +30,9 @@
 
 #include "common/table.hh"
 #include "core/hybrid.hh"
+#include "detectors/djit_plus.hh"
 #include "detectors/fasttrack.hh"
+#include "detectors/racetrack.hh"
 #include "explain/classifier.hh"
 #include "explain/explain_json.hh"
 #include "harness/batch.hh"
@@ -158,10 +160,13 @@ struct Options
     bool unbounded = false;
 };
 
+/** Defined after the detector table below. */
+std::string detectorNames(std::size_t wrap_at = 0);
+
 void
 usage()
 {
-    std::puts(
+    std::printf(
         "hardsim — HARD lockset race-detection simulator\n"
         "\n"
         "single run:\n"
@@ -170,8 +175,7 @@ usage()
         "  --scale=<f>               workload scale factor (1.0 = paper)\n"
         "  --seed=<n>                workload layout seed\n"
         "  --inject=<seed>           elide one dynamic lock/unlock pair\n"
-        "  --detectors=<a,b,...>     hard, ideal, hb, hb-ideal, hybrid,\n"
-        "                            fasttrack (or 'none')\n"
+        "  --detectors=<a,b,...>     %s (or 'none')\n"
         "  --record=<file>           write the run's trace\n"
         "  --replay=<file>           analyze a trace offline instead of\n"
         "                            simulating\n"
@@ -355,7 +359,8 @@ usage()
         "  --granularity=<bytes>     monitoring granularity (32)\n"
         "  --barrier-reset=0|1       §3.5 barrier flash-reset (1)\n"
         "  --unbounded               unlimited metadata (no L2 capacity\n"
-        "                            eviction)");
+        "                            eviction)\n",
+        detectorNames(44).c_str());
 }
 
 Options
@@ -611,42 +616,106 @@ makeHardConfig(const Options &o)
     return cfg;
 }
 
-std::vector<std::unique_ptr<RaceDetector>>
+using DetectorPtr = std::unique_ptr<RaceDetector>;
+
+/**
+ * Every detector --detectors can name: its CLI name, the name its
+ * reports carry, and how to build it from the options. The parse, the
+ * help text and the unknown-name error all read this one table.
+ */
+struct DetectorEntry
+{
+    const char *cli;
+    const char *report;
+    DetectorPtr (*make)(const Options &o, const char *report);
+};
+
+const DetectorEntry kDetectors[] = {
+    {"hard", "hard",
+     [](const Options &o, const char *n) -> DetectorPtr {
+         return std::make_unique<HardDetector>(n, makeHardConfig(o));
+     }},
+    {"ideal", "ideal-lockset",
+     [](const Options &, const char *n) -> DetectorPtr {
+         return std::make_unique<IdealLocksetDetector>(
+             n, IdealLocksetConfig{});
+     }},
+    {"hb", "happens-before",
+     [](const Options &o, const char *n) -> DetectorPtr {
+         HbConfig cfg;
+         cfg.granularityBytes = o.granularity;
+         cfg.metaGeometry.sizeBytes = o.l2Kb * 1024;
+         cfg.metaGeometry.lineBytes = o.lineBytes;
+         return std::make_unique<HappensBeforeDetector>(n, cfg);
+     }},
+    {"hb-ideal", "happens-before-ideal",
+     [](const Options &, const char *n) -> DetectorPtr {
+         return std::make_unique<HappensBeforeDetector>(n,
+                                                        HbConfig::ideal());
+     }},
+    {"hybrid", "hybrid",
+     [](const Options &o, const char *n) -> DetectorPtr {
+         return std::make_unique<HybridDetector>(n, makeHardConfig(o));
+     }},
+    {"fasttrack", "fasttrack",
+     [](const Options &, const char *n) -> DetectorPtr {
+         return std::make_unique<FastTrackDetector>(n, 4);
+     }},
+    {"djit", "djit-plus",
+     [](const Options &, const char *n) -> DetectorPtr {
+         return std::make_unique<DjitPlusDetector>(n, 4);
+     }},
+    {"racetrack", "racetrack",
+     [](const Options &, const char *n) -> DetectorPtr {
+         return std::make_unique<RaceTrackDetector>(n, RaceTrackConfig{});
+     }},
+};
+
+/**
+ * @return the CLI names of kDetectors, comma-separated. With
+ * @p wrap_at, a name that would end past that many columns starts a new
+ * line indented to the help text's description column.
+ */
+std::string
+detectorNames(std::size_t wrap_at)
+{
+    std::string out;
+    std::size_t col = 0;
+    for (const DetectorEntry &d : kDetectors) {
+        const std::size_t len = std::strlen(d.cli);
+        if (!out.empty()) {
+            out += ',';
+            if (wrap_at && col + 2 + len > wrap_at) {
+                out += "\n" + std::string(28, ' ');
+                col = 0;
+            } else {
+                out += ' ';
+                col += 2;
+            }
+        }
+        out += d.cli;
+        col += len;
+    }
+    return out;
+}
+
+std::vector<DetectorPtr>
 makeDetectors(const Options &o)
 {
-    std::vector<std::unique_ptr<RaceDetector>> dets;
+    std::vector<DetectorPtr> dets;
     std::stringstream ss(o.detectors);
     std::string name;
     while (std::getline(ss, name, ',')) {
-        if (name.empty() || name == "none") {
+        if (name.empty() || name == "none")
             continue;
-        } else if (name == "hard") {
-            dets.push_back(std::make_unique<HardDetector>(
-                "hard", makeHardConfig(o)));
-        } else if (name == "ideal") {
-            dets.push_back(std::make_unique<IdealLocksetDetector>(
-                "ideal-lockset", IdealLocksetConfig{}));
-        } else if (name == "hb") {
-            HbConfig cfg;
-            cfg.granularityBytes = o.granularity;
-            cfg.metaGeometry.sizeBytes = o.l2Kb * 1024;
-            cfg.metaGeometry.lineBytes = o.lineBytes;
-            dets.push_back(std::make_unique<HappensBeforeDetector>(
-                "happens-before", cfg));
-        } else if (name == "hb-ideal") {
-            dets.push_back(std::make_unique<HappensBeforeDetector>(
-                "happens-before-ideal", HbConfig::ideal()));
-        } else if (name == "hybrid") {
-            dets.push_back(std::make_unique<HybridDetector>(
-                "hybrid", makeHardConfig(o)));
-        } else if (name == "fasttrack") {
-            dets.push_back(
-                std::make_unique<FastTrackDetector>("fasttrack", 4));
-        } else {
-            fatal("unknown detector '%s' (hard, ideal, hb, hb-ideal, "
-                  "hybrid, fasttrack)",
-                  name.c_str());
-        }
+        const DetectorEntry *entry = nullptr;
+        for (const DetectorEntry &d : kDetectors)
+            if (name == d.cli)
+                entry = &d;
+        if (!entry)
+            fatal("unknown detector '%s' (%s)", name.c_str(),
+                  detectorNames().c_str());
+        dets.push_back(entry->make(o, entry->report));
     }
     return dets;
 }
