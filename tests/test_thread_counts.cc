@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/hard_detector.hh"
 #include "detector_test_util.hh"
 #include "workloads/injector.hh"
@@ -18,8 +21,11 @@ namespace hard
 namespace
 {
 
+// The app name is a std::string, not a const char *: gtest prints a
+// char pointer with its address, which would put a per-run address
+// into every CTest test name.
 class ThreadCountSweep
-    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
 {
 };
 
@@ -73,9 +79,13 @@ TEST_P(ThreadCountSweep, DetectionStillWorksWhenInjected)
 
 INSTANTIATE_TEST_SUITE_P(
     Apps, ThreadCountSweep,
-    ::testing::Combine(::testing::Values("cholesky", "barnes", "fmm",
-                                         "ocean", "water-nsquared",
-                                         "raytrace", "server"),
+    ::testing::Combine(::testing::Values(std::string("cholesky"),
+                                         std::string("barnes"),
+                                         std::string("fmm"),
+                                         std::string("ocean"),
+                                         std::string("water-nsquared"),
+                                         std::string("raytrace"),
+                                         std::string("server")),
                        ::testing::Values(2u, 8u)));
 
 TEST(ThreadCounts, OversubscribedWorkloadsDetectLikeDedicated)
