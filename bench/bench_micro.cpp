@@ -4,15 +4,15 @@
  * lockset set operations become "fast bitwise logic operations" in
  * HARD: BFVector signature/intersection/emptiness, Lock Register
  * updates, the Figure 2 state machine, the exact (software) set
- * intersection they replace, per-access detector costs, and the
- * underlying cache/bus substrate.
+ * intersection they replace, and a bus transaction. Per-access
+ * detector and memory-system costs are measured on recorded workload
+ * traces by perfbench's per-layer ledger (perfbench/README.md).
  */
 
 #include <benchmark/benchmark.h>
 
+#include "coherence/bus.hh"
 #include "core/hard_detector.hh"
-#include "detectors/fasttrack.hh"
-#include "detectors/happens_before.hh"
 #include "detectors/ideal_lockset.hh"
 #include "common/rng.hh"
 
@@ -90,81 +90,6 @@ BM_LStateTransition(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LStateTransition);
-
-/** Drive one detector with a synthetic pre-generated event stream. */
-template <typename Detector>
-void
-drivePerAccess(benchmark::State &state, Detector &det)
-{
-    Rng rng(7);
-    std::vector<MemEvent> evs(4096);
-    for (auto &ev : evs) {
-        ev.tid = static_cast<ThreadId>(rng.below(4));
-        ev.core = ev.tid;
-        ev.addr = 0x10000 + rng.below(4096) * 8;
-        ev.size = 8;
-        ev.write = rng.chance(0.5);
-        ev.site = static_cast<SiteId>(rng.below(16));
-        ev.outcome.stateAfter = CState::Shared;
-        ev.outcome.sharers = 2;
-    }
-    std::size_t i = 0;
-    for (auto _ : state) {
-        const MemEvent &ev = evs[i++ & 4095];
-        if (ev.write)
-            det.onWrite(ev);
-        else
-            det.onRead(ev);
-    }
-}
-
-void
-BM_HardDetectorPerAccess(benchmark::State &state)
-{
-    HardDetector det("hard", HardConfig{});
-    drivePerAccess(state, det);
-}
-BENCHMARK(BM_HardDetectorPerAccess);
-
-void
-BM_HappensBeforePerAccess(benchmark::State &state)
-{
-    HappensBeforeDetector det("hb", HbConfig{});
-    drivePerAccess(state, det);
-}
-BENCHMARK(BM_HappensBeforePerAccess);
-
-void
-BM_FastTrackPerAccess(benchmark::State &state)
-{
-    FastTrackDetector det("ft", 4);
-    drivePerAccess(state, det);
-}
-BENCHMARK(BM_FastTrackPerAccess);
-
-void
-BM_IdealLocksetPerAccess(benchmark::State &state)
-{
-    IdealLocksetDetector det("ls", IdealLocksetConfig{});
-    drivePerAccess(state, det);
-}
-BENCHMARK(BM_IdealLocksetPerAccess);
-
-void
-BM_MemSystemAccess(benchmark::State &state)
-{
-    MemorySystem mem(MemSysConfig{});
-    Rng rng(3);
-    Cycle now = 0;
-    for (auto _ : state) {
-        AccessOutcome out =
-            mem.access(static_cast<CoreId>(rng.below(4)),
-                       0x10000 + rng.below(8192) * 8, 8,
-                       rng.chance(0.3), now);
-        now = out.completeAt;
-    }
-}
-BENCHMARK(BM_MemSystemAccess);
 
 void
 BM_BusTransaction(benchmark::State &state)

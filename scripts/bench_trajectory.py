@@ -1,52 +1,31 @@
 #!/usr/bin/env python3
-"""Maintain and gate the performance trajectory (BENCH_trajectory.json).
+"""Record and gate the performance trajectory (BENCH_trajectory.json).
 
-The trajectory is a hard.bench.trajectory.v1 document: an append-only
-series of benchmark points. Two point kinds share the file:
-
-  fastmode  one per recorded run of build/bench/bench_fastmode:
-            cycle/fastCold/fastWarm runs per second plus the
-            interleaving replay-vs-sim speedup
-  frontier  one per recorded run of build/bench/bench_frontier (the
-            server workload's overhead-vs-latency frontier): coverage,
-            metadata traffic, and bus occupancy at full monitoring
-            rate
-
-Each point carries the bench configuration and a host fingerprint, so
-the repo's performance history is committed alongside the code and CI
-can fail on regressions instead of silently drifting.
+The trajectory is a hard.bench.trajectory.v2 document: an append-only
+series of perfbench points. A point is one workload of BENCHMARK.json
+run once per seed by perfbench/run.py (every run checked against its
+golden document and the workload's invariants); it stores the median
+over the seeds of each end-to-end metric, under BENCHMARK.json's
+names, with the host fingerprint, the seed range and --seconds. Every
+committed number is therefore reproducible from the one command that
+recorded it.
 
 Modes (exactly one):
-  --migrate BENCH.json     seed the trajectory from an existing
-                           committed baseline (fastmode or frontier,
-                           recognized by schema); the point is marked
-                           source "migrated" with host "unknown", so
-                           the regression gate never compares fresh
-                           runs against it (the machine that produced
-                           it is unknowable)
-  --from-bench BENCH.json  append a point from an existing bench
-                           output (schema picks the point kind),
-                           fingerprinted to this host, and run the
-                           regression gate
-  --run                    run build/bench/bench_fastmode (at --runs/
-                           --scale/--jobs) into a temp file, then
-                           append + gate as with --from-bench
-  --run-frontier           same, but run build/bench/bench_frontier
-                           (the server-workload frontier point)
-  --check                  structurally validate the committed
-                           trajectory and exit (CI uses this on the
-                           checked-in file)
+  --record --workload W --seeds A..B [--seconds S]
+            run perfbench seeds A..B (S defaults to BENCHMARK.json's
+            run_seconds), gate the new point against the latest
+            comparable one, and append it
+  --check   validate the trajectory and replay the gate over it
 
-The regression gate compares the new point against the LATEST prior
-point with the SAME config (units/runs/scale/jobs) and the SAME host
-fingerprint (arch + cpu count): >--max-regression (default 15%)
-drop in cycle or fast-warm runs/sec fails with exit 1. No comparable
-prior point — different host, different scale — passes with a note;
-cross-machine comparisons are noise, not signal.
+Two points are comparable when they share workload, host fingerprint
+(arch + cpu count), seed range and --seconds: cross-machine
+comparisons are noise, not signal, and seeds differ in layout and
+injected races, so their throughputs differ too. A drop of more than
+15% in units_per_s from the latest comparable earlier point fails with
+exit 1. A point with no comparable predecessor passes with a note.
 
 Examples:
-  scripts/bench_trajectory.py --migrate BENCH_fastmode.json
-  scripts/bench_trajectory.py --run --runs 2 --scale 0.2
+  scripts/bench_trajectory.py --record --workload table2-cycle --seeds 1..10
   scripts/bench_trajectory.py --check
 """
 
@@ -55,36 +34,23 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
-import tempfile
+from pathlib import Path
 
-SCHEMA = "hard.bench.trajectory.v1"
-POINT_SOURCES = {"migrated", "bench"}
-# Metric sets per point kind; points without a "bench" field predate
-# the frontier kind and are fastmode points.
-METRICS_BY_KIND = {
-    "fastmode": ("cycleRunsPerSec", "fastColdRunsPerSec",
-                 "fastWarmRunsPerSec", "replayVsSim"),
-    "frontier": ("coverageAtFull", "metaKBAtFull",
-                 "busOccupancyPctAtFull"),
-}
-# The gate watches the metrics users feel: full-simulation and
-# warm-cache throughput (fastmode), full-rate detection coverage
-# (frontier — a coverage drop at rate 1.0 is a detection regression,
-# not noise).
-GATED_METRICS_BY_KIND = {
-    "fastmode": ("cycleRunsPerSec", "fastWarmRunsPerSec"),
-    "frontier": ("coverageAtFull",),
-}
-
-
-def point_kind(point):
-    return point.get("bench", "fastmode")
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = "hard.bench.trajectory.v2"
+GATED_METRIC = "units_per_s"
+MAX_REGRESSION = 0.15
 
 
 def fail(msg):
     raise SystemExit(f"bench_trajectory: {msg}")
+
+
+def benchmark_spec():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def host_fingerprint():
@@ -92,178 +58,107 @@ def host_fingerprint():
             "cpus": os.cpu_count() or 0}
 
 
+def parse_seeds(text):
+    lo, sep, hi = text.partition("..")
+    try:
+        seeds = [int(lo), int(hi if sep else lo)]
+    except ValueError:
+        fail(f"--seeds {text!r} is not A..B")
+    if seeds[0] < 1 or seeds[0] > seeds[1]:
+        fail(f"--seeds {text!r} is not a range of positive seeds")
+    return seeds
+
+
 def load_trajectory(path):
-    if not os.path.exists(path):
+    if not path.exists():
         return {"schema": SCHEMA, "points": []}
-    with open(path) as f:
-        doc = json.load(f)
+    doc = json.loads(path.read_text())
     if doc.get("schema") != SCHEMA:
         fail(f"{path}: schema is {doc.get('schema')!r}, expected "
-             f"'{SCHEMA}' — unknown or future trajectory version")
+             f"'{SCHEMA}'")
     if not isinstance(doc.get("points"), list):
         fail(f"{path}: missing 'points' array")
     return doc
 
 
-def frontier_point_fields(bench, scale):
-    """Config and metrics of a frontier point: the full-monitoring
-    (rate 1.0) point of a hard.frontier.v1 sweep."""
-    full = None
-    for pt in bench["points"]:
-        if pt["rate"] == 1.0:
-            full = pt
-    if full is None:
-        fail("frontier sweep has no rate-1.0 point to track")
-    dets = full["detectors"]
-    if not dets:
-        fail("frontier rate-1.0 point has no detectors")
-    det = dets[sorted(dets)[0]]
-    ov = full["overhead"]
-    if ov["outcome"] != "ok":
-        fail(f"frontier rate-1.0 overhead leg is {ov['outcome']!r}")
-    config = {
-        "workload": bench["workload"],
-        "rates": len(bench["points"]),
-        "runs": bench["runs"],
-        "scale": scale,
-    }
-    metrics = {
-        "coverageAtFull": det["coverage"],
-        "metaKBAtFull": ov["metaBytes"] / 1024.0,
-        "busOccupancyPctAtFull": ov["busOccupancyPct"],
-    }
-    return config, metrics
-
-
-def point_from_bench(bench_path, source, host, scale=None):
-    with open(bench_path) as f:
-        bench = json.load(f)
-    schema = bench.get("schema")
-    try:
-        if schema == "hard.bench.fastmode.v1":
-            point = {
-                "source": source,
-                "date": datetime.date.today().isoformat(),
-                "host": host,
-                "config": {
-                    "units": bench["units"],
-                    "runsPerWorkload": bench["runsPerWorkload"],
-                    "scale": bench["scale"],
-                    "jobs": bench["jobs"],
-                },
-                "metrics": {
-                    "cycleRunsPerSec": bench["cycle"]["runsPerSec"],
-                    "fastColdRunsPerSec":
-                        bench["fastCold"]["runsPerSec"],
-                    "fastWarmRunsPerSec":
-                        bench["fastWarm"]["runsPerSec"],
-                    "replayVsSim": bench["speedup"]["replayVsSim"],
-                },
-            }
-        elif schema == "hard.frontier.v1":
-            config, metrics = frontier_point_fields(bench, scale)
-            point = {
-                "source": source,
-                "bench": "frontier",
-                "date": datetime.date.today().isoformat(),
-                "host": host,
-                "config": config,
-                "metrics": metrics,
-            }
-        else:
-            fail(f"{bench_path}: schema is {schema!r}, expected "
-                 "'hard.bench.fastmode.v1' or 'hard.frontier.v1'")
-    except KeyError as e:
-        fail(f"{bench_path}: missing field {e}")
-    return point
-
-
-def check_point(point, where):
-    if point.get("source") not in POINT_SOURCES:
-        fail(f"{where}: source {point.get('source')!r} not in "
-             f"{sorted(POINT_SOURCES)}")
-    kind = point_kind(point)
-    if kind not in METRICS_BY_KIND:
-        fail(f"{where}: bench kind {kind!r} not in "
-             f"{sorted(METRICS_BY_KIND)}")
+def check_point(point, spec, where):
+    workloads = [w["name"] for w in spec["workloads"]]
+    if point.get("workload") not in workloads:
+        fail(f"{where}: workload {point.get('workload')!r} not in "
+             f"{workloads}")
     host = point.get("host")
-    if host != "unknown" and not (isinstance(host, dict)
-                                  and "arch" in host and "cpus" in host):
+    if not (isinstance(host, dict) and "arch" in host and "cpus" in host):
         fail(f"{where}: bad host fingerprint {host!r}")
-    config = point.get("config")
-    if not isinstance(config, dict):
-        fail(f"{where}: missing 'config'")
-    config_fields = (("workload", "rates", "runs", "scale")
-                     if kind == "frontier"
-                     else ("units", "runsPerWorkload", "scale", "jobs"))
-    for field in config_fields:
-        if field not in config:
-            fail(f"{where}: config missing {field!r}")
+    seeds = point.get("seeds")
+    if not (isinstance(seeds, list) and len(seeds) == 2
+            and 1 <= seeds[0] <= seeds[1]):
+        fail(f"{where}: bad seed range {seeds!r}")
+    seconds = point.get("seconds")
+    if not isinstance(seconds, (int, float)) or seconds <= 0:
+        fail(f"{where}: bad seconds {seconds!r}")
     metrics = point.get("metrics")
-    if not isinstance(metrics, dict):
-        fail(f"{where}: missing 'metrics'")
-    for name in METRICS_BY_KIND[kind]:
-        val = metrics.get(name)
+    names = [m["name"] for m in spec["end_to_end"]]
+    if not isinstance(metrics, dict) or sorted(metrics) != sorted(names):
+        fail(f"{where}: metrics must be exactly {names}")
+    for name, val in metrics.items():
         if not isinstance(val, (int, float)) or val <= 0:
             fail(f"{where}: metric {name} is {val!r}")
 
 
-def check_trajectory(doc, path):
-    for i, point in enumerate(doc["points"]):
-        check_point(point, f"{path}: point {i}")
-    print(f"ok: {path} ({SCHEMA}, {len(doc['points'])} points)")
-
-
 def comparable(prior, new):
-    """A prior point gates a new one only when the measurement is
-    apples-to-apples: same bench config on the same class of host."""
-    return (point_kind(prior) == point_kind(new)
-            and prior.get("config") == new["config"]
-            and prior.get("host") == new["host"]
-            and prior.get("source") == "bench")
+    return all(prior[k] == new[k]
+               for k in ("workload", "host", "seeds", "seconds"))
 
 
-def gate(doc, new, max_regression):
-    prior = None
-    for point in doc["points"]:
-        if comparable(point, new):
-            prior = point  # keep the latest comparable point
+def gate(points, new):
+    """Fail if @p new lost more than MAX_REGRESSION of the gated metric
+    against the latest comparable point of @p points."""
+    prior = next((p for p in reversed(points) if comparable(p, new)), None)
     if prior is None:
-        print("bench_trajectory: no comparable prior point "
-              "(new host or config) — gate passes vacuously")
+        print(f"bench_trajectory: {new['workload']}: no comparable prior "
+              "point (new host, seeds or --seconds); gate passes vacuously")
         return
-    failures = []
-    for name in GATED_METRICS_BY_KIND[point_kind(new)]:
-        before = prior["metrics"][name]
-        after = new["metrics"][name]
-        drop = (before - after) / before
-        marker = "REGRESSION" if drop > max_regression else "ok"
-        print(f"bench_trajectory: {name}: {before:.3f} -> {after:.3f} "
-              f"({-drop * 100.0:+.1f}%) [{marker}]")
-        if drop > max_regression:
-            failures.append(name)
-    if failures:
-        fail(f"performance regression beyond the "
-             f"{max_regression * 100.0:.0f}% noise band in: "
-             f"{', '.join(failures)} (prior point dated "
-             f"{prior.get('date', '?')})")
+    before = prior["metrics"][GATED_METRIC]
+    after = new["metrics"][GATED_METRIC]
+    drop = (before - after) / before
+    regressed = drop > MAX_REGRESSION
+    print(f"bench_trajectory: {new['workload']} {GATED_METRIC}: "
+          f"{before:.4g} -> {after:.4g} ({-drop * 100.0:+.1f}%) "
+          f"[{'REGRESSION' if regressed else 'ok'}]")
+    if regressed:
+        fail(f"{new['workload']}: {GATED_METRIC} dropped beyond the "
+             f"{MAX_REGRESSION * 100.0:.0f}% noise band (prior point "
+             f"dated {prior.get('date', '?')})")
 
 
-def run_bench(args, name):
-    bench = os.path.join(args.builddir, "bench", name)
-    if not os.access(bench, os.X_OK):
-        fail(f"{bench} not built (cmake --build {args.builddir} "
-             f"--target {name})")
-    out = tempfile.NamedTemporaryFile(
-        suffix=".json", prefix="bench_trajectory.", delete=False)
-    out.close()
-    cache = tempfile.mkdtemp(prefix="bench_trajectory.cache.")
-    cmd = [bench, f"--runs={args.runs}", f"--scale={args.scale}",
-           f"--jobs={args.jobs}", f"--out={out.name}",
-           f"--cache={cache}"]
-    print("bench_trajectory: +", " ".join(cmd))
-    subprocess.run(cmd, check=True)
-    return out.name
+def record(args, spec):
+    seeds = parse_seeds(args.seeds)
+    seconds = (args.seconds if args.seconds is not None
+               else spec["run_seconds"])
+    values = {}
+    for seed in range(seeds[0], seeds[1] + 1):
+        cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"),
+               "--workload", args.workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+        print("bench_trajectory: +", " ".join(cmd), flush=True)
+        r = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE,
+                           text=True, check=False)
+        sys.stdout.write(r.stdout)
+        if r.returncode != 0:
+            fail(f"{args.workload} seed {seed}: run.py exited with code "
+                 f"{r.returncode}")
+        result = json.loads(r.stdout.strip().splitlines()[-1])
+        for name, m in result["metrics"].items():
+            values.setdefault(name, []).append(m["value"])
+    return {
+        "workload": args.workload,
+        "date": datetime.date.today().isoformat(),
+        "host": host_fingerprint(),
+        "seeds": seeds,
+        "seconds": seconds,
+        "metrics": {name: statistics.median(v)
+                    for name, v in values.items()},
+    }
 
 
 def main():
@@ -271,70 +166,40 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--migrate", metavar="BENCH.json",
-                      help="seed the trajectory from a committed "
-                           "hard.bench.fastmode.v1 baseline")
-    mode.add_argument("--from-bench", metavar="BENCH.json",
-                      help="append a point from an existing bench "
-                           "output and run the regression gate")
-    mode.add_argument("--run", action="store_true",
-                      help="run bench_fastmode, append the point, and "
-                           "run the regression gate")
-    mode.add_argument("--run-frontier", action="store_true",
-                      help="run bench_frontier (server workload), "
-                           "append the point, and run the gate")
+    mode.add_argument("--record", action="store_true",
+                      help="run perfbench over --seeds, gate and append")
     mode.add_argument("--check", action="store_true",
-                      help="validate the committed trajectory and exit")
-    ap.add_argument("--trajectory", default="BENCH_trajectory.json",
+                      help="validate and gate the trajectory")
+    ap.add_argument("--workload", help="--record: BENCHMARK.json workload")
+    ap.add_argument("--seeds", help="--record: seed range A..B")
+    ap.add_argument("--seconds", type=float,
+                    help="--record: run.py --seconds (default: "
+                         "BENCHMARK.json run_seconds)")
+    ap.add_argument("--trajectory", type=Path,
+                    default=ROOT / "BENCH_trajectory.json",
                     help="trajectory file (BENCH_trajectory.json)")
-    ap.add_argument("--max-regression", type=float, default=0.15,
-                    help="gate threshold as a fraction (0.15 = fail on "
-                         ">15%% runs/sec drop)")
-    ap.add_argument("--no-gate", action="store_true",
-                    help="append without gating (bootstrap on a new "
-                         "host)")
-    ap.add_argument("--runs", type=int, default=10,
-                    help="--run: injected runs per workload (10)")
-    ap.add_argument("--scale", type=float, default=1.0,
-                    help="--run: workload scale (1.0)")
-    ap.add_argument("--jobs", type=int, default=0,
-                    help="--run: worker threads (0 = all cores)")
-    ap.add_argument("--builddir", default="build",
-                    help="--run: CMake build directory (build)")
     args = ap.parse_args()
 
+    spec = benchmark_spec()
     doc = load_trajectory(args.trajectory)
 
     if args.check:
-        if not os.path.exists(args.trajectory):
-            fail(f"{args.trajectory} does not exist")
         if not doc["points"]:
-            fail(f"{args.trajectory}: empty trajectory")
-        check_trajectory(doc, args.trajectory)
+            fail(f"{args.trajectory}: missing or empty trajectory")
+        for i, point in enumerate(doc["points"]):
+            check_point(point, spec, f"{args.trajectory}: point {i}")
+            gate(doc["points"][:i], point)
+        print(f"ok: {args.trajectory} ({SCHEMA}, "
+              f"{len(doc['points'])} points)")
         return
 
-    if args.migrate:
-        point = point_from_bench(args.migrate, "migrated", "unknown",
-                                 scale=args.scale)
-        point.pop("date")  # the original measurement date is unknown
-    else:
-        if args.from_bench:
-            bench_path = args.from_bench
-        else:
-            bench_path = run_bench(
-                args,
-                "bench_frontier" if args.run_frontier
-                else "bench_fastmode")
-        point = point_from_bench(bench_path, "bench",
-                                 host_fingerprint(), scale=args.scale)
-        check_point(point, "new point")
-        if not args.no_gate:
-            gate(doc, point, args.max_regression)
-
+    if not (args.workload and args.seeds):
+        ap.error("--record needs --workload and --seeds")
+    point = record(args, spec)
+    check_point(point, spec, "new point")
+    gate(doc["points"], point)
     doc["points"].append(point)
-    with open(args.trajectory, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    args.trajectory.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"bench_trajectory: appended point {len(doc['points'])} "
           f"to {args.trajectory}")
 

@@ -26,10 +26,9 @@ Checks, using nothing but the standard library:
     every unit accounted for exactly once with a valid outcome (no
     unit lost, duplicated, or left pending), quarantine list
     consistent with per-unit outcomes, shard bookkeeping balanced
-  - a hard.bench.fastmode.v1 baseline (--bench [--min-speedup X]):
-    schema tag, positive timings, runs/sec and speedup ratios
-    consistent with the timings, and the interleaving-component
-    speedup (sim vs warm streamed replay) meeting the floor
+  - a traced perfbench/run.py output (--bench [--min-speedup X]): the
+    run is correct, and sim.run_ns_per_op / trace.decode_ns_per_event
+    (simulating an op vs replaying an event) meets the floor
   - a hard.profile.v1 wall-clock profile (--profile): schema tag
     (unknown versions rejected), non-negative totals, a well-formed
     phase tree, non-negative counters; also accepts a batch/fuzz
@@ -336,64 +335,19 @@ def check_campaign(path):
 
 
 def check_bench(path, min_speedup):
+    # The last line of a traced perfbench/run.py run. Fast mode's floor:
+    # simulating an op must cost min_speedup times decoding an event.
     with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema") != "hard.bench.fastmode.v1":
-        fail(f"{path}: schema is {doc.get('schema')!r}, "
-             "expected 'hard.bench.fastmode.v1'")
-    units = doc.get("units")
-    if not isinstance(units, int) or units <= 0:
-        fail(f"{path}: bad 'units' {units!r}")
-    for leg in ("cycle", "fastCold", "fastWarm"):
-        block = doc.get(leg)
-        if not isinstance(block, dict):
-            fail(f"{path}: missing leg {leg!r}")
-        sec = block.get("seconds")
-        rate = block.get("runsPerSec")
-        if not isinstance(sec, (int, float)) or sec <= 0:
-            fail(f"{path}: {leg}.seconds is {sec!r}")
-        if not isinstance(rate, (int, float)) or rate <= 0:
-            fail(f"{path}: {leg}.runsPerSec is {rate!r}")
-        if abs(rate - units / sec) > 0.01 * (units / sec) + 0.01:
-            fail(f"{path}: {leg}.runsPerSec {rate} inconsistent with "
-                 f"{units} units / {sec}s")
-    speedup = doc.get("speedup", {})
-    warm = speedup.get("warmVsCycle")
-    if not isinstance(warm, (int, float)) or warm <= 0:
-        fail(f"{path}: bad speedup.warmVsCycle {warm!r}")
-    ratio = doc["cycle"]["seconds"] / doc["fastWarm"]["seconds"]
-    if abs(warm - ratio) > 0.05 * ratio + 0.05:
-        fail(f"{path}: speedup.warmVsCycle {warm} inconsistent with "
-             f"timings ({ratio:.2f})")
-    il = doc.get("interleaving")
-    if not isinstance(il, dict):
-        fail(f"{path}: missing 'interleaving' block")
-    events = il.get("events")
-    sim_s = il.get("simSeconds")
-    replay_s = il.get("replaySeconds")
-    if not isinstance(events, int) or events <= 0:
-        fail(f"{path}: bad interleaving.events {events!r}")
-    for field, val in (("simSeconds", sim_s),
-                       ("replaySeconds", replay_s)):
-        if not isinstance(val, (int, float)) or val <= 0:
-            fail(f"{path}: bad interleaving.{field} {val!r}")
-    replay_vs_sim = speedup.get("replayVsSim")
-    if not isinstance(replay_vs_sim, (int, float)) or replay_vs_sim <= 0:
-        fail(f"{path}: bad speedup.replayVsSim {replay_vs_sim!r}")
-    il_ratio = sim_s / replay_s
-    if abs(replay_vs_sim - il_ratio) > 0.05 * il_ratio + 0.05:
-        fail(f"{path}: speedup.replayVsSim {replay_vs_sim} inconsistent "
-             f"with interleaving timings ({il_ratio:.2f})")
-    # The floor applies to the interleaving component: the work fast
-    # mode eliminates. The end-to-end sweep stays battery-bound (the
-    # detectors replay in every leg) and is reported, not gated.
-    if min_speedup is not None and replay_vs_sim < min_speedup:
-        fail(f"{path}: interleaving speedup {replay_vs_sim:.1f}x below "
-             f"the {min_speedup}x floor")
-    print(f"ok: {path} (hard.bench.fastmode.v1, "
-          f"interleaving {replay_vs_sim:.1f}x, "
-          f"sweep warm {warm:.2f}x / cold "
-          f"{speedup.get('coldVsCycle'):.2f}x over {units} units)")
+        doc = json.loads(f.read().strip().splitlines()[-1])
+    if not doc.get("correct"):
+        fail(f"{path}: perfbench run is not correct")
+    metrics = doc["metrics"]
+    speedup = (metrics["sim.run_ns_per_op"]["value"]
+               / metrics["trace.decode_ns_per_event"]["value"])
+    if min_speedup is not None and speedup < min_speedup:
+        fail(f"{path}: sim/decode {speedup:.1f}x below the "
+             f"{min_speedup}x floor")
+    print(f"ok: {path} (perfbench, sim/decode {speedup:.1f}x)")
 
 
 def check_profile_doc(doc, where):
@@ -799,9 +753,9 @@ def main():
     ap.add_argument("--campaign", action="append", default=[],
                     help="hard.campaign.v1 report JSON file")
     ap.add_argument("--bench", action="append", default=[],
-                    help="hard.bench.fastmode.v1 JSON file")
+                    help="output of perfbench/run.py --trace 1")
     ap.add_argument("--min-speedup", type=float, default=None,
-                    help="minimum warm-cache speedup --bench files "
+                    help="minimum sim/decode ratio --bench files "
                          "must show")
     ap.add_argument("--profile", action="append", default=[],
                     help="hard.profile.v1 JSON file, or a batch/fuzz "
