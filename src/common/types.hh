@@ -30,6 +30,13 @@ using LockAddr = Addr;
 /** Interned identifier of a static source site (see SiteRegistry). */
 using SiteId = std::uint32_t;
 
+/**
+ * Maximum simultaneously tracked threads: the width of the detectors'
+ * vector clocks and of the simulated CMP. A program or trace with more
+ * is rejected at the boundary (System, openPackedTrace).
+ */
+constexpr unsigned kMaxThreads = 8;
+
 /** Sentinel for "no thread". */
 constexpr ThreadId invalidThread = std::numeric_limits<ThreadId>::max();
 

@@ -51,20 +51,11 @@ HybridDetector::access(const MemEvent &ev, bool write)
                 // (barrier, semaphore, condvar or atomic edges): the
                 // hand-off is safe even though no common lock
                 // protects it.
-                bool all_ordered = true;
-                for (unsigned u = 0; u < kMaxThreads; ++u) {
-                    if (u == ev.tid)
-                        continue;
-                    if (g.accessClk[u] > vc[u]) {
-                        all_ordered = false;
-                        break;
-                    }
-                }
-                if (all_ordered) {
+                if (firstUnordered(g.accessClk, vc, ev.tid) ==
+                    invalidThread)
                     ++pruned_;
-                } else {
+                else
                     emit(ev.tid, a, gran, ev.site, write, ev.at);
-                }
             }
         }
         g.accessClk[ev.tid] = vc[ev.tid];

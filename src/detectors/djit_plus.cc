@@ -27,29 +27,12 @@ DjitPlusDetector::access(const MemEvent &ev, bool write)
         // A race with *any* unordered prior write, not just the
         // latest one — the full vector remembers writes an epoch
         // representation would have overwritten.
-        bool race = false;
-        ThreadId other = invalidThread;
-        for (unsigned u = 0; u < kMaxThreads; ++u) {
-            if (u == ev.tid)
-                continue;
-            if (g.writeClk[u] > vc[u]) {
-                race = true;
-                other = static_cast<ThreadId>(u);
-                if (other != g.lastWriter)
-                    ++nonLatest_;
-                break;
-            }
-        }
-        if (write && !race) {
-            for (unsigned u = 0; u < kMaxThreads; ++u) {
-                if (u != ev.tid && g.readClk[u] > vc[u]) {
-                    race = true;
-                    other = static_cast<ThreadId>(u);
-                    break;
-                }
-            }
-        }
-        if (race)
+        ThreadId other = firstUnordered(g.writeClk, vc, ev.tid);
+        if (other != invalidThread && other != g.lastWriter)
+            ++nonLatest_;
+        if (write && other == invalidThread)
+            other = firstUnordered(g.readClk, vc, ev.tid);
+        if (other != invalidThread)
             emit(ev.tid, a, gran_, ev.site, write, ev.at, other);
 
         if (write) {

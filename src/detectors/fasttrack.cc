@@ -32,13 +32,8 @@ FastTrackDetector::access(const MemEvent &ev, bool write)
             // Write must also be ordered after all reads.
             if (!race) {
                 if (s.readVc) {
-                    for (unsigned u = 0; u < kMaxThreads && !race;
-                         ++u) {
-                        if (u != ev.tid && (*s.readVc)[u] > vc[u]) {
-                            race = true;
-                            other = static_cast<ThreadId>(u);
-                        }
-                    }
+                    other = firstUnordered(*s.readVc, vc, ev.tid);
+                    race = other != invalidThread;
                 } else if (s.lastRead.tid != ev.tid &&
                            !s.lastRead.ordered(vc)) {
                     race = true;

@@ -37,23 +37,16 @@ HappensBeforeDetector::access(const MemEvent &ev, bool write)
     for (Addr a = lo; a < hi; a += gran) {
         Granule &g = line.g[(a - line_base) / gran];
 
-        bool race = !g.lastWrite.ordered(vc);
-        ThreadId other = race ? g.lastWrite.tid : invalidThread;
-        if (write && !race) {
-            for (unsigned u = 0; u < kMaxThreads; ++u) {
-                if (u != ev.tid && g.readClk[u] > vc[u]) {
-                    race = true;
-                    other = static_cast<ThreadId>(u);
-                    break;
-                }
-            }
-        }
-        if (race)
+        ThreadId other =
+            g.lastWrite.ordered(vc) ? invalidThread : g.lastWrite.tid;
+        if (write && other == invalidThread)
+            other = firstUnordered(g.readClk, vc, ev.tid);
+        if (other != invalidThread)
             emit(ev.tid, a, gran, ev.site, write, ev.at, other);
 
         if (write) {
             g.lastWrite = Epoch{ev.tid, vc[ev.tid]};
-            g.readClk.fill(0);
+            g.readClk = VClock{};
         } else {
             g.readClk[ev.tid] = vc[ev.tid];
         }

@@ -72,7 +72,7 @@ class HappensBeforeDetector : public ClockedDetector
     struct Granule
     {
         Epoch lastWrite{};
-        std::array<std::uint32_t, kMaxThreads> readClk{};
+        VClock readClk{};
     };
 
     /** Shadow state of one metadata line. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bitops.hh"
-#include "common/logging.hh"
 #include "explain/prov.hh"
 
 namespace hard
@@ -11,48 +9,19 @@ namespace hard
 
 IdealLocksetDetector::IdealLocksetDetector(const std::string &name,
                                            const IdealLocksetConfig &cfg)
-    : RaceDetector(name), cfg_(cfg)
+    : ExactLocksetDetector(name, cfg)
 {
-    hard_fatal_if(cfg_.granularityBytes == 0 ||
-                      !isPowerOf2(cfg_.granularityBytes),
-                  "ideal-lockset: bad granularity %u",
-                  cfg_.granularityBytes);
-}
-
-const std::set<LockAddr> &
-IdealLocksetDetector::lockset(ThreadId tid) const
-{
-    static const std::set<LockAddr> empty;
-    auto it = held_.find(tid);
-    return it == held_.end() ? empty : it->second.writeHeld;
-}
-
-const std::set<LockAddr> &
-IdealLocksetDetector::readLockset(ThreadId tid) const
-{
-    static const std::set<LockAddr> empty;
-    auto it = held_.find(tid);
-    return it == held_.end() ? empty : it->second.readHeld;
 }
 
 void
 IdealLocksetDetector::access(const MemEvent &ev, bool write)
 {
-    const unsigned gran = cfg_.granularityBytes;
-    const Addr lo = alignDown(ev.addr, gran);
-    const Addr hi = ev.addr + (ev.size ? ev.size : 1);
-    const std::set<LockAddr> locks = held_[ev.tid].effective(write);
-
-    for (Addr a = lo; a < hi; a += gran) {
-        Granule &g = shadow_[a];
+    const unsigned gran = config().granularityBytes;
+    exactAccess(ev, write, [&](const Granule &g, const GranuleStep &s,
+                               const std::set<LockAddr> &locks) {
         if (prov_)
-            prov_->noteAccess(a, ev.tid, ev.at);
-        const LState state_before = g.state;
-        LStateStep step = lstateAccess(g.state, g.owner, ev.tid, write);
-        g.state = step.next;
-        g.owner = step.owner;
-        if (step.updateCandidate) {
-            g.candidate.intersect(locks);
+            prov_->noteAccess(s.addr, ev.tid, ev.at);
+        if (s.narrowed) {
             if (!g.candidate.isUniverse()) {
                 std::size_t sz = g.candidate.locks().size();
                 sizeStats_.maxCandidate =
@@ -61,17 +30,17 @@ IdealLocksetDetector::access(const MemEvent &ev, bool write)
             }
             if (prov_)
                 prov_->recordExactNarrow(
-                    a, ev.tid, ev.site, write, ev.at, state_before,
+                    s.addr, ev.tid, ev.site, write, ev.at, s.before,
                     g.state, locks, g.candidate.isUniverse(),
                     static_cast<unsigned>(g.candidate.locks().size()));
         }
-        if (step.reportIfEmpty && g.candidate.empty()) {
-            emit(ev.tid, a, gran, ev.site, write, ev.at,
-                 prov_ ? prov_->lastOther(a) : invalidThread);
+        if (s.violation) {
+            emit(ev.tid, s.addr, gran, ev.site, write, ev.at,
+                 prov_ ? prov_->lastOther(s.addr) : invalidThread);
             if (prov_)
-                prov_->recordReport(a, ev.tid, ev.site, write, ev.at);
+                prov_->recordReport(s.addr, ev.tid, ev.site, write, ev.at);
         }
-    }
+    });
 }
 
 void
@@ -87,70 +56,11 @@ IdealLocksetDetector::onWrite(const MemEvent &ev)
 }
 
 void
-IdealLocksetDetector::onLockAcquire(const SyncEvent &ev)
-{
-    ThreadLocksets &ls = held_[ev.tid];
-    auto [it, inserted] = ls.writeHeld.insert(ev.lock);
-    (void)it;
-    hard_panic_if(!inserted && !cfg_.tolerateUnbalanced,
-                  "ideal-lockset: thread %u re-acquired lock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
-    sizeStats_.maxLockset =
-        std::max(sizeStats_.maxLockset,
-                 ls.writeHeld.size() + ls.readHeld.size());
-}
-
-void
-IdealLocksetDetector::onLockRelease(const SyncEvent &ev)
-{
-    std::size_t erased = held_[ev.tid].writeHeld.erase(ev.lock);
-    hard_panic_if(erased == 0 && !cfg_.tolerateUnbalanced,
-                  "ideal-lockset: thread %u released unheld lock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
-}
-
-void
-IdealLocksetDetector::onRwLockAcquire(const SyncEvent &ev, bool writer)
-{
-    ThreadLocksets &ls = held_[ev.tid];
-    auto [it, inserted] =
-        (writer ? ls.writeHeld : ls.readHeld).insert(ev.lock);
-    (void)it;
-    hard_panic_if(!inserted && !cfg_.tolerateUnbalanced,
-                  "ideal-lockset: thread %u re-acquired rwlock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
-    sizeStats_.maxLockset =
-        std::max(sizeStats_.maxLockset,
-                 ls.writeHeld.size() + ls.readHeld.size());
-}
-
-void
-IdealLocksetDetector::onRwLockRelease(const SyncEvent &ev, bool writer)
-{
-    ThreadLocksets &ls = held_[ev.tid];
-    std::size_t erased =
-        (writer ? ls.writeHeld : ls.readHeld).erase(ev.lock);
-    hard_panic_if(erased == 0 && !cfg_.tolerateUnbalanced,
-                  "ideal-lockset: thread %u released unheld rwlock %llx",
-                  ev.tid, static_cast<unsigned long long>(ev.lock));
-}
-
-void
 IdealLocksetDetector::onBarrier(const BarrierEvent &ev)
 {
-    if (!cfg_.barrierReset)
-        return;
-    if (prov_)
+    if (prov_ && config().barrierReset)
         prov_->recordFlashReset(ev.at, ev.episode);
-    // §3.5: discard pre-barrier evidence — accesses on either side of
-    // the barrier are ordered, so neither their lock sets nor their
-    // sharing history may be held against post-barrier accesses (see
-    // HardDetector::onBarrier for the Figure 7 rationale).
-    for (auto &kv : shadow_) {
-        kv.second.candidate.resetToUniverse();
-        kv.second.state = LState::Virgin;
-        kv.second.owner = invalidThread;
-    }
+    ExactLocksetDetector::onBarrier(ev);
 }
 
 } // namespace hard

@@ -11,84 +11,20 @@
 #define HARD_DETECTORS_IDEAL_LOCKSET_HH
 
 #include <array>
-#include <map>
-#include <set>
-#include <unordered_map>
 
-#include "detectors/lockset_state.hh"
-#include "detectors/report.hh"
+#include "detectors/exact_lockset.hh"
 
 namespace hard
 {
 
 class ProvRecorder;
 
-/** Configuration of the ideal lockset detector. */
-struct IdealLocksetConfig
-{
-    /** Candidate-set granularity in bytes (paper's ideal: 4). */
-    unsigned granularityBytes = 4;
-    /** Apply the §3.5 barrier flash-reset of candidate sets. */
-    bool barrierReset = true;
-    /**
-     * Tolerate unbalanced lock events (re-acquire keeps the lock held,
-     * release-of-unheld is a no-op) instead of panicking. Needed when
-     * replaying minimizer-reduced fuzz traces, whose event streams are
-     * not guaranteed lock-balanced; live runs keep the strict checks.
-     */
-    bool tolerateUnbalanced = false;
-};
-
 /**
- * An exact candidate set: either the universe of all locks (the
- * initial value) or an explicit finite set.
+ * Eraser-style exact lockset detector, unbounded and fine-grained: the
+ * exact lockset engine reporting every emptied candidate, plus set-size
+ * statistics and optional provenance.
  */
-class ExactLockset
-{
-  public:
-    /** Start as the universe ("all possible locks"). */
-    ExactLockset() = default;
-
-    /** Reset to the universe (barrier pruning, §3.5). */
-    void
-    resetToUniverse()
-    {
-        universe_ = true;
-        set_.clear();
-    }
-
-    /** Intersect with the exact thread lock set @p held. */
-    void
-    intersect(const std::set<LockAddr> &held)
-    {
-        if (universe_) {
-            universe_ = false;
-            set_ = held;
-            return;
-        }
-        for (auto it = set_.begin(); it != set_.end();) {
-            if (held.count(*it) == 0)
-                it = set_.erase(it);
-            else
-                ++it;
-        }
-    }
-
-    bool isUniverse() const { return universe_; }
-    bool
-    empty() const
-    {
-        return !universe_ && set_.empty();
-    }
-    const std::set<LockAddr> &locks() const { return set_; }
-
-  private:
-    bool universe_ = true;
-    std::set<LockAddr> set_;
-};
-
-/** Eraser-style exact lockset detector, unbounded and fine-grained. */
-class IdealLocksetDetector : public RaceDetector
+class IdealLocksetDetector : public ExactLocksetDetector<RaceDetector>
 {
   public:
     IdealLocksetDetector(const std::string &name,
@@ -96,25 +32,10 @@ class IdealLocksetDetector : public RaceDetector
 
     void onRead(const MemEvent &ev) override;
     void onWrite(const MemEvent &ev) override;
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
+
+    /** Provenance of the flash-reset (when attached), then the
+     * engine's. */
     void onBarrier(const BarrierEvent &ev) override;
-
-    /**
-     * Rwlock-aware lockset maintenance: a writer hold protects like a
-     * mutex; a reader hold protects reads only (concurrent readers
-     * are admitted, so a write under a reader hold is unprotected).
-     * Accesses intersect with ThreadLocksets::effective(write).
-     */
-    void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
-    void onRwLockRelease(const SyncEvent &ev, bool writer) override;
-
-    /** @return the current exact write-held lock set of @p tid
-     * (mutexes + writer-mode rwlock holds). */
-    const std::set<LockAddr> &lockset(ThreadId tid) const;
-
-    /** @return the current reader-mode rwlock hold set of @p tid. */
-    const std::set<LockAddr> &readLockset(ThreadId tid) const;
 
     /**
      * Measured set-size statistics, supporting the paper's §5.2.3
@@ -132,9 +53,13 @@ class IdealLocksetDetector : public RaceDetector
         std::array<std::uint64_t, 8> candidateHist{};
     };
 
-    const SetSizeStats &setSizeStats() const { return sizeStats_; }
-
-    const IdealLocksetConfig &config() const { return cfg_; }
+    SetSizeStats
+    setSizeStats() const
+    {
+        SetSizeStats s = sizeStats_;
+        s.maxLockset = maxHeldSize();
+        return s;
+    }
 
     /**
      * Attach a provenance recorder (explain/prov.hh): exact candidate
@@ -145,20 +70,8 @@ class IdealLocksetDetector : public RaceDetector
     void attachProvenance(ProvRecorder *prov) { prov_ = prov; }
 
   private:
-    /** Shadow record of one granule. */
-    struct Granule
-    {
-        LState state = LState::Virgin;
-        ThreadId owner = invalidThread;
-        ExactLockset candidate;
-    };
-
     void access(const MemEvent &ev, bool write);
 
-    IdealLocksetConfig cfg_;
-    std::unordered_map<Addr, Granule> shadow_;
-    /** Per-thread write-held/read-held lock sets. */
-    std::unordered_map<ThreadId, ThreadLocksets> held_;
     SetSizeStats sizeStats_;
     /** Provenance recorder; null unless an explain run attached one. */
     ProvRecorder *prov_ = nullptr;

@@ -15,10 +15,10 @@
  * the alarm is suppressed as a synchronized hand-off; only genuinely
  * concurrent unprotected sharing is reported.
  *
- * Because the lockset side is identical to IdealLocksetDetector
- * (same granularity, same state machine, same effective-set
- * intersection) and suppression only ever removes reports, the
- * battery invariant racetrack-subset-of-ideal holds structurally.
+ * The lockset side is the exact lockset engine the ideal detector
+ * runs (detectors/exact_lockset.hh), and suppression only ever removes
+ * reports, so the battery invariant racetrack-subset-of-ideal holds by
+ * shared code.
  *
  * This differs from HARD's HybridDetector, whose prune clock carries
  * only *non-lock* edges (it must not launder the very lock discipline
@@ -30,33 +30,24 @@
 #ifndef HARD_DETECTORS_RACETRACK_HH
 #define HARD_DETECTORS_RACETRACK_HH
 
-#include <array>
-#include <set>
-#include <unordered_map>
-
-#include "detectors/ideal_lockset.hh"
-#include "detectors/lockset_state.hh"
+#include "detectors/exact_lockset.hh"
 #include "detectors/sync_clocks.hh"
 
 namespace hard
 {
 
-/** Configuration of the RaceTrack hybrid detector. */
-struct RaceTrackConfig
+/** RaceTrack's configuration is the exact lockset engine's. */
+using RaceTrackConfig = IdealLocksetConfig;
+
+/** Per-granule payload: the clock of each thread's last access. */
+struct AccessClocks
 {
-    /** Candidate-set granularity in bytes. */
-    unsigned granularityBytes = 4;
-    /** Apply the §3.5 barrier flash-reset of candidate sets. */
-    bool barrierReset = true;
-    /**
-     * Tolerate unbalanced lock events instead of panicking (needed
-     * when replaying minimizer-reduced fuzz traces).
-     */
-    bool tolerateUnbalanced = false;
+    VClock accessClk;
 };
 
 /** Adaptive lockset/happens-before hybrid with rwlock-aware sets. */
-class RaceTrackDetector : public ClockedDetector
+class RaceTrackDetector
+    : public ExactLocksetDetector<ClockedDetector, AccessClocks>
 {
   public:
     RaceTrackDetector(const std::string &name,
@@ -65,45 +56,12 @@ class RaceTrackDetector : public ClockedDetector
     void onRead(const MemEvent &ev) override;
     void onWrite(const MemEvent &ev) override;
 
-    /** @name Lock hooks: advance the clocks, then the held sets.
-     * @{ */
-    void onLockAcquire(const SyncEvent &ev) override;
-    void onLockRelease(const SyncEvent &ev) override;
-    void onRwLockAcquire(const SyncEvent &ev, bool writer) override;
-    void onRwLockRelease(const SyncEvent &ev, bool writer) override;
-    /** @} */
-
-    /** §3.5 candidate-set reset (when configured), then the clocks. */
-    void onBarrier(const BarrierEvent &ev) override;
-
     /** @return lockset alarms suppressed by the happens-before check. */
     std::uint64_t suppressed() const { return suppressed_; }
 
-    /** @return the current write-held lock set of @p tid. */
-    const std::set<LockAddr> &lockset(ThreadId tid) const;
-
-    /** @return the current reader-mode rwlock hold set of @p tid. */
-    const std::set<LockAddr> &readLockset(ThreadId tid) const;
-
-    const RaceTrackConfig &config() const { return cfg_; }
-
   private:
-    /** Shadow record of one granule. */
-    struct Granule
-    {
-        LState state = LState::Virgin;
-        ThreadId owner = invalidThread;
-        ExactLockset candidate;
-        /** Clock of each thread's last access (own component). */
-        std::array<std::uint32_t, kMaxThreads> accessClk{};
-    };
-
     void access(const MemEvent &ev, bool write);
 
-    RaceTrackConfig cfg_;
-    std::unordered_map<Addr, Granule> shadow_;
-    /** Per-thread write-held/read-held lock sets. */
-    std::unordered_map<ThreadId, ThreadLocksets> held_;
     std::uint64_t suppressed_ = 0;
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixed-width vector clocks for the happens-before detector.
+ * Fixed-width vector clocks for the clocked detectors.
  */
 
 #ifndef HARD_DETECTORS_VCLOCK_HH
@@ -14,9 +14,6 @@
 
 namespace hard
 {
-
-/** Maximum simultaneously tracked threads (CMP cores are <= 8 here). */
-constexpr unsigned kMaxThreads = 8;
 
 /** A vector clock over kMaxThreads components. */
 struct VClock
@@ -40,6 +37,21 @@ struct VClock
         return c == o.c;
     }
 };
+
+/**
+ * @return the lowest thread u other than @p tid whose entry in @p last
+ * is not ordered before @p vc (last[u] > vc[u]), or invalidThread when
+ * every other thread's is. The ascending scan fixes which thread a
+ * report names as its other party.
+ */
+inline ThreadId
+firstUnordered(const VClock &last, const VClock &vc, ThreadId tid)
+{
+    for (unsigned u = 0; u < kMaxThreads; ++u)
+        if (u != tid && last[u] > vc[u])
+            return static_cast<ThreadId>(u);
+    return invalidThread;
+}
 
 /** A scalar epoch: clock value @p clk of thread @p tid. */
 struct Epoch

@@ -14,10 +14,10 @@ System::System(const SimConfig &cfg, const Program &prog)
     hard_throw_if(prog.threads.empty(), WorkloadError,
                   "system: program '%s' has no threads",
                   prog.name.c_str());
-    hard_throw_if(prog.threads.size() > 8, ConfigError,
-                  "system: program '%s' has %zu threads; at most 8 are "
+    hard_throw_if(prog.threads.size() > kMaxThreads, ConfigError,
+                  "system: program '%s' has %zu threads; at most %u are "
                   "supported",
-                  prog.name.c_str(), prog.threads.size());
+                  prog.name.c_str(), prog.threads.size(), kMaxThreads);
     hard_throw_if(cfg.memsys.numCores == 0, ConfigError,
                   "system: zero cores");
 

@@ -1,5 +1,6 @@
 #include "trace/trace.hh"
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -67,7 +68,11 @@ TraceEvent::pack() const
     Packed p{};
     p.kind = static_cast<std::uint8_t>(kind);
     p.size = static_cast<std::uint8_t>(size);
-    p.tid = static_cast<std::uint8_t>(tid & 0xff);
+    hard_panic_if(tid != invalidThread && tid >= kMaxThreads,
+                  "trace: thread id %u does not fit a record (at most %u "
+                  "threads)",
+                  tid, kMaxThreads);
+    p.tid = tid == invalidThread ? 0xff : static_cast<std::uint8_t>(tid);
     if (kind == TraceKind::Read || kind == TraceKind::Write) {
         p.aux = static_cast<std::uint8_t>(
             (sharers << 2) | static_cast<unsigned>(stateAfter));
@@ -210,16 +215,29 @@ openPackedTrace(std::string_view bytes, PackedTraceView *out,
         return fail("truncated at event stream");
     if (bytes.size() - pos != nevents * sizeof(TraceEvent::Packed))
         return fail("trailing bytes past declared event count");
-    // Pre-validate every record's kind (the first byte) in one strided
+    // Pre-validate every record's kind and thread id in one strided
     // scan, so consumers of the view can decode without per-event
     // checks — and so a corrupt entry is rejected before a streaming
-    // replay has dispatched half its events into live detectors.
+    // replay has dispatched half its events into live detectors (whose
+    // clocks are kMaxThreads wide; 0xff is the "no thread" sentinel).
     const char *rec = bytes.data() + pos;
-    for (std::uint64_t i = 0; i < nevents; ++i)
-        if (static_cast<std::uint8_t>(
-                rec[i * sizeof(TraceEvent::Packed)]) >
+    for (std::uint64_t i = 0; i < nevents; ++i) {
+        const char *r = rec + i * sizeof(TraceEvent::Packed);
+        if (static_cast<std::uint8_t>(r[offsetof(TraceEvent::Packed,
+                                                 kind)]) >
             static_cast<std::uint8_t>(TraceKind::AtomicLoad))
             return fail("corrupt event kind");
+        const unsigned tid = static_cast<std::uint8_t>(
+            r[offsetof(TraceEvent::Packed, tid)]);
+        if (tid != 0xff && tid >= kMaxThreads) {
+            char buf[96];
+            std::snprintf(buf, sizeof(buf),
+                          "thread id %u out of range (at most %u "
+                          "threads)",
+                          tid, kMaxThreads);
+            return fail(buf);
+        }
+    }
     view.records = rec;
     view.nevents = nevents;
     *out = std::move(view);

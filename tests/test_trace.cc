@@ -5,6 +5,7 @@
  * guarantee that offline replay reproduces online detection exactly.
  */
 
+#include <cstddef>
 #include <cstdio>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,41 @@ TEST(TraceFileDeath, RejectsTruncatedEvents)
     EXPECT_EXIT(readTrace(path), ::testing::ExitedWithCode(1),
                 "truncated at event");
     std::remove(path.c_str());
+}
+
+TEST(TraceFile, RejectsThreadIdBeyondClockWidth)
+{
+    Trace t;
+    t.siteNames = {"s"};
+    TraceEvent ev;
+    ev.kind = TraceKind::Write;
+    ev.tid = 1;
+    ev.size = 4;
+    t.events.assign(3, ev);
+    t.events[2].kind = TraceKind::Barrier;
+    t.events[2].tid = invalidThread;
+    std::string bytes = serializeTrace(t);
+
+    // The 0xff "no thread" sentinel of the barrier record is legal.
+    Trace back;
+    std::string err;
+    ASSERT_TRUE(deserializeTrace(bytes, &back, &err)) << err;
+    EXPECT_EQ(back.events[2].tid, invalidThread);
+
+    // Patch the second record's tid byte past the clock width.
+    const std::size_t rec = bytes.size() - 2 * sizeof(TraceEvent::Packed);
+    bytes[rec + offsetof(TraceEvent::Packed, tid)] = 9;
+    EXPECT_FALSE(deserializeTrace(bytes, &back, &err));
+    EXPECT_NE(err.find("thread id 9 out of range"), std::string::npos)
+        << err;
+}
+
+TEST(TraceEventDeathTest, PackRejectsThreadIdBeyondClockWidth)
+{
+    TraceEvent ev;
+    ev.kind = TraceKind::Read;
+    ev.tid = kMaxThreads;
+    EXPECT_DEATH(ev.pack(), "thread id 8 does not fit a record");
 }
 
 TEST(TraceFileDeath, MissingFileIsFatal)
