@@ -52,6 +52,7 @@ MemorySystem::MemorySystem(const MemSysConfig &cfg)
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
         l1s_.push_back(std::make_unique<SetAssocCache>(
             "l1." + std::to_string(c), cfg_.l1));
+        l1Counters_.emplace_back(l1s_.back()->stats());
     }
     l2_ = std::make_unique<SetAssocCache>("l2", cfg_.l2);
 }
@@ -64,11 +65,11 @@ MemorySystem::setTracer(EventTracer *tracer)
 }
 
 unsigned
-MemorySystem::sharerCount(Addr addr) const
+MemorySystem::sharersWith(CoreId core, Addr line) const
 {
-    unsigned n = 0;
-    for (const auto &l1 : l1s_)
-        if (l1->findLine(addr) != nullptr)
+    unsigned n = 1;
+    for (CoreId c = 0; c < cfg_.numCores; ++c)
+        if (c != core && l1s_[c]->findLine(line) != nullptr)
             ++n;
     return n;
 }
@@ -80,7 +81,7 @@ MemorySystem::backInvalidate(Addr line, CoreId keep)
         if (c == keep)
             continue;
         if (l1s_[c]->invalidate(line))
-            ++stats_.counter("backInvalidations");
+            ++*backInvalidations_;
     }
 }
 
@@ -89,7 +90,7 @@ MemorySystem::ensureInL2(Addr line, bool dirty, Cycle &completeAt, Cycle now)
 {
     CacheLine *l2line = l2_->findLine(line);
     if (l2line != nullptr) {
-        l2_->touch(line);
+        l2_->touch(*l2line);
         if (dirty)
             l2line->cstate = CState::Modified;
         return false;
@@ -101,7 +102,7 @@ MemorySystem::ensureInL2(Addr line, bool dirty, Cycle &completeAt, Cycle now)
     if (ev) {
         // Inclusive L2: displace any L1 copies of the victim.
         backInvalidate(ev->lineAddr, invalidCore);
-        ++stats_.counter("l2Evictions");
+        ++*l2Evictions_;
         if (ev->dirty)
             bus_.transact(TxnType::Writeback, completeAt);
         if (tracer_ && tracer_->wants(kTraceMem)) {
@@ -137,26 +138,27 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
 {
     hard_panic_if(core >= cfg_.numCores, "memsys: bad core %u", core);
     const unsigned line_bytes = cfg_.l1.lineBytes;
-    hard_panic_if(size == 0 || (addr % line_bytes) + size > line_bytes,
+    hard_panic_if(size == 0 || (addr & (line_bytes - 1)) + size > line_bytes,
                   "memsys: access %llx+%u crosses a %u-byte line",
                   static_cast<unsigned long long>(addr), size, line_bytes);
 
     const Addr line = cfg_.l1.lineAddr(addr);
     SetAssocCache &l1 = *l1s_[core];
+    L1Counters &l1c = l1Counters_[core];
     AccessOutcome out;
-    ++stats_.counter(write ? "writes" : "reads");
+    ++*(write ? writes_ : reads_);
 
     CacheLine *mine = l1.findLine(line);
     if (mine != nullptr) {
-        l1.touch(line);
+        l1.touch(*mine);
         if (!write) {
             // Read hit in any valid state.
             out.completeAt = now + cfg_.l1.hitLatency;
             out.l1Hit = true;
             out.source = AccessSource::L1;
             out.stateAfter = mine->cstate;
-            out.sharers = sharerCount(line);
-            ++l1.stats().counter("readHits");
+            out.sharers = sharersWith(core, line);
+            ++*l1c.readHits;
             return out;
         }
         if (canWrite(mine->cstate)) {
@@ -166,8 +168,8 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
             out.l1Hit = true;
             out.source = AccessSource::L1;
             out.stateAfter = CState::Modified;
-            out.sharers = sharerCount(line);
-            ++l1.stats().counter("writeHits");
+            out.sharers = sharersWith(core, line);
+            ++*l1c.writeHits;
             return out;
         }
         // Write to a Shared line: BusUpgr invalidates other copies.
@@ -180,12 +182,12 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
         out.source = AccessSource::L1;
         out.stateAfter = CState::Modified;
         out.sharers = 1;
-        ++l1.stats().counter("upgrades");
+        ++*l1c.upgrades;
         return out;
     }
 
     // L1 miss: issue BusRd / BusRdX after the (wasted) L1 lookup.
-    ++l1.stats().counter(write ? "writeMisses" : "readMisses");
+    ++*(write ? l1c.writeMisses : l1c.readMisses);
     Cycle done =
         bus_.transact(write ? TxnType::BusRdX : TxnType::BusRd,
                       now + cfg_.l1.hitLatency);
@@ -220,14 +222,14 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
             theirs->cstate = CState::Shared;
         }
         out.source = AccessSource::OtherL1;
-        ++stats_.counter("cacheToCache");
+        ++*cacheToCache_;
     } else {
         // Served by L2 (or memory beneath it).
         Cycle l2_done = done + cfg_.l2.hitLatency;
         bool l2_missed = ensureInL2(line, false, l2_done, done);
         if (l2_missed) {
             out.source = AccessSource::Memory;
-            ++stats_.counter("memFetches");
+            ++*memFetches_;
         } else {
             out.source = AccessSource::L2;
         }
@@ -266,7 +268,7 @@ MemorySystem::access(CoreId core, Addr addr, unsigned size, bool write,
     out.completeAt = done;
     out.l1Hit = false;
     out.stateAfter = fill_state;
-    out.sharers = sharerCount(line);
+    out.sharers = sharersWith(core, line);
     out.lineTransferred = true;
     if (tracer_ && tracer_->wants(kTraceMem)) {
         Json args = Json::object();

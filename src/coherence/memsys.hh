@@ -80,6 +80,11 @@ class MemorySystem
   public:
     explicit MemorySystem(const MemSysConfig &cfg);
 
+    // The counter handles point into owned stat groups: never copy or
+    // move.
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
+
     /**
      * Perform one data access.
      *
@@ -91,9 +96,6 @@ class MemorySystem
      */
     AccessOutcome access(CoreId core, Addr addr, unsigned size, bool write,
                          Cycle now);
-
-    /** @return number of L1 caches currently holding @p addr's line. */
-    unsigned sharerCount(Addr addr) const;
 
     /**
      * Callback fired whenever a line is displaced from the shared L2
@@ -134,12 +136,39 @@ class MemorySystem
     /** Invalidate all L1 copies of @p line (except @p keep). */
     void backInvalidate(Addr line, CoreId keep);
 
+    /**
+     * @return the number of L1 caches holding @p line, given that
+     * @p core's L1 holds it (its own set is not searched again).
+     */
+    unsigned sharersWith(CoreId core, Addr line) const;
+
+    /** Handles on the access counters kept in one L1's group. */
+    struct L1Counters
+    {
+        explicit L1Counters(StatGroup &g)
+            : readHits(g, "readHits"), writeHits(g, "writeHits"),
+              upgrades(g, "upgrades"), readMisses(g, "readMisses"),
+              writeMisses(g, "writeMisses")
+        {
+        }
+
+        CounterRef readHits, writeHits, upgrades, readMisses, writeMisses;
+    };
+
     MemSysConfig cfg_;
     std::function<void(Addr)> onL2Evict_;
     Bus bus_;
     std::vector<std::unique_ptr<SetAssocCache>> l1s_;
+    /** l1Counters_[c] counts into l1s_[c]->stats(). */
+    std::vector<L1Counters> l1Counters_;
     std::unique_ptr<SetAssocCache> l2_;
     StatGroup stats_;
+    CounterRef reads_{stats_, "reads"};
+    CounterRef writes_{stats_, "writes"};
+    CounterRef backInvalidations_{stats_, "backInvalidations"};
+    CounterRef l2Evictions_{stats_, "l2Evictions"};
+    CounterRef cacheToCache_{stats_, "cacheToCache"};
+    CounterRef memFetches_{stats_, "memFetches"};
     EventTracer *tracer_ = nullptr;
 };
 

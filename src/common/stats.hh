@@ -63,6 +63,36 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
+class StatGroup;
+
+/**
+ * A handle on one named counter of a StatGroup, for hot paths.
+ *
+ * The handle binds its Counter on the first dereference, so the
+ * counter appears in the group only once something touches it, as
+ * with counter(); after that an increment is one predictable branch
+ * instead of a string build and a map lookup. @p name must outlive
+ * the handle (a string literal). The group must outlive the handle
+ * and never move: an owner holding handles into its own group must be
+ * neither copyable nor movable.
+ */
+class CounterRef
+{
+  public:
+    CounterRef(StatGroup &group, const char *name)
+        : group_(&group), name_(name)
+    {
+    }
+
+    /** @return the counter, creating it in the group on first use. */
+    Counter &operator*();
+
+  private:
+    StatGroup *group_;
+    const char *name_;
+    Counter *counter_ = nullptr;
+};
+
 /**
  * A bucketed histogram of 64-bit samples.
  *
@@ -447,6 +477,16 @@ class StatGroup
     std::map<std::string, Distribution> distributions_;
     std::map<std::string, Formula> formulas_;
 };
+
+inline Counter &
+CounterRef::operator*()
+{
+    // std::map nodes never move, so the bound pointer stays valid for
+    // the group's lifetime (reset() zeroes counters, never erases).
+    if (counter_ == nullptr) [[unlikely]]
+        counter_ = &group_->counter(name_);
+    return *counter_;
+}
 
 } // namespace hard
 

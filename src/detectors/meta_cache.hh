@@ -40,9 +40,8 @@ class MetaCache
      * infinite-L2 configuration); @p geom then only defines lineBytes.
      */
     MetaCache(const CacheConfig &geom, bool unbounded)
-        : geom_(geom), unbounded_(unbounded)
+        : geom_(geom), index_(geom, "metaCache"), unbounded_(unbounded)
     {
-        geom_.validate("metaCache");
         if (!unbounded_)
             ways_.resize(geom_.numSets() * geom_.assoc);
     }
@@ -197,11 +196,12 @@ class MetaCache
     std::pair<std::size_t, std::size_t>
     setRange(Addr line) const
     {
-        std::size_t first = geom_.setIndex(line) * geom_.assoc;
+        std::size_t first = index_.setIndex(line) * geom_.assoc;
         return {first, first + geom_.assoc};
     }
 
     CacheConfig geom_;
+    CacheIndexer index_;
     bool unbounded_;
     std::vector<Way> ways_;
     std::unordered_map<Addr, LineData> map_;

@@ -57,6 +57,10 @@ class SetAssocCache
      */
     SetAssocCache(const std::string &name, const CacheConfig &cfg);
 
+    // The counter handles point into stats_: never copy or move.
+    SetAssocCache(const SetAssocCache &) = delete;
+    SetAssocCache &operator=(const SetAssocCache &) = delete;
+
     /** @return pointer to the line holding @p addr, or nullptr. */
     CacheLine *findLine(Addr addr);
     const CacheLine *findLine(Addr addr) const;
@@ -69,8 +73,14 @@ class SetAssocCache
      */
     std::optional<Eviction> insert(Addr addr, CState st);
 
-    /** Mark the line holding @p addr as most recently used. */
+    /**
+     * Mark the line holding @p addr as most recently used. Panics if
+     * the line is absent.
+     */
     void touch(Addr addr);
+
+    /** Mark @p line, a line findLine() returned, most recently used. */
+    void touch(CacheLine &line) { line.lastUse = ++useClock_; }
 
     /** Drop the line holding @p addr, if present. @return it was held. */
     bool invalidate(Addr addr);
@@ -102,13 +112,15 @@ class SetAssocCache
     /** @return [first,last) way index range of @p addr's set. */
     std::pair<std::size_t, std::size_t> setRange(Addr addr) const;
 
-    /** Rebuild a line address from a tag + the set it occupies. */
-    Addr lineAddrOf(std::uint64_t tag, std::uint64_t set) const;
-
     CacheConfig cfg_;
+    CacheIndexer index_;
     std::vector<CacheLine> lines_;
     std::uint64_t useClock_ = 0;
     StatGroup stats_;
+    CounterRef evictions_{stats_, "evictions"};
+    CounterRef writebacks_{stats_, "writebacks"};
+    CounterRef fills_{stats_, "fills"};
+    CounterRef invalidations_{stats_, "invalidations"};
 };
 
 } // namespace hard

@@ -71,6 +71,55 @@ struct CacheConfig
     }
 };
 
+/**
+ * The address split of a validated CacheConfig as shifts and a mask,
+ * computed once: the per-lookup form of CacheConfig::setIndex/tag
+ * (which stay the reference definitions) without their divisions.
+ */
+class CacheIndexer
+{
+  public:
+    /**
+     * Validate @p cfg (CacheConfig::validate, naming it @p what in the
+     * ConfigError) and derive its shifts.
+     */
+    CacheIndexer(const CacheConfig &cfg, const char *what)
+        : lineShift_(validatedLineShift(cfg, what)),
+          setMask_(cfg.numSets() - 1),
+          tagShift_(lineShift_ + floorLog2(cfg.numSets()))
+    {
+    }
+
+    /** @return CacheConfig::setIndex(a). */
+    std::uint64_t
+    setIndex(Addr a) const
+    {
+        return (a >> lineShift_) & setMask_;
+    }
+
+    /** @return CacheConfig::tag(a). */
+    std::uint64_t tag(Addr a) const { return a >> tagShift_; }
+
+    /** @return the line address holding @p tag in set @p set. */
+    Addr
+    lineAddr(std::uint64_t tag, std::uint64_t set) const
+    {
+        return (tag << tagShift_) | (set << lineShift_);
+    }
+
+  private:
+    static unsigned
+    validatedLineShift(const CacheConfig &cfg, const char *what)
+    {
+        cfg.validate(what);
+        return floorLog2(cfg.lineBytes);
+    }
+
+    unsigned lineShift_;
+    std::uint64_t setMask_;
+    unsigned tagShift_;
+};
+
 } // namespace hard
 
 #endif // HARD_MEM_CACHE_CFG_HH

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "cache_test_util.hh"
 #include "common/rng.hh"
 #include "mem/cache.hh"
 #include "throw_test_util.hh"
@@ -48,6 +51,67 @@ TEST(CacheConfigDeath, RejectsBadGeometry)
     CacheConfig bad2{256, 2, 33, 1};
     HARD_EXPECT_THROW_MSG(bad2.validate("t"), ConfigError,
                           "power of two");
+}
+
+/**
+ * The shift-based indexer agrees with CacheConfig's reference
+ * definitions on seeded random addresses, and rebuilds each line
+ * address from its (tag, set) pair.
+ */
+class CacheIndexerEquivalence : public ::testing::TestWithParam<CacheConfig>
+{
+};
+
+TEST_P(CacheIndexerEquivalence, MatchesReferenceSetIndexAndTag)
+{
+    const CacheConfig cfg = GetParam();
+    const CacheIndexer index(cfg, "t");
+    Rng rng(cfg.sizeBytes ^ cfg.assoc);
+    for (int i = 0; i < 20000; ++i) {
+        // Full-width addresses half the time, small ones otherwise.
+        const Addr a = i % 2 ? rng.next64() : rng.below(1u << 24);
+        ASSERT_EQ(index.setIndex(a), cfg.setIndex(a)) << std::hex << a;
+        ASSERT_EQ(index.tag(a), cfg.tag(a)) << std::hex << a;
+        ASSERT_EQ(index.lineAddr(cfg.tag(a), cfg.setIndex(a)),
+                  cfg.lineAddr(a))
+            << std::hex << a;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, CacheIndexerEquivalence,
+                         indexingGeometries());
+
+TEST(CacheIndexer, ValidatesTheGeometry)
+{
+    HARD_EXPECT_THROW_MSG(CacheIndexer(CacheConfig{256, 0, 32, 1}, "t"),
+                          ConfigError, "zero associativity");
+}
+
+TEST(Cache, EvictionRebuildsTheReferenceLineAddress)
+{
+    // Fill one set of a Table 1 L1 past its ways from random high
+    // addresses; each victim's rebuilt address is one we inserted.
+    const CacheConfig cfg{16 * 1024, 4, 32, 3};
+    SetAssocCache c("c", cfg);
+    const Addr set_bits = (cfg.numSets() - 1) * cfg.lineBytes;
+    Rng rng(11);
+    std::vector<Addr> lines;
+    for (int i = 0; i < 64; ++i) {
+        const Addr line =
+            (cfg.lineAddr(rng.next64()) & ~set_bits) | 5 * cfg.lineBytes;
+        ASSERT_EQ(cfg.setIndex(line), 5u);
+        if (c.findLine(line) != nullptr)
+            continue;
+        auto ev = c.insert(line, CState::Shared);
+        if (lines.size() < cfg.assoc) {
+            EXPECT_FALSE(ev.has_value());
+        } else {
+            ASSERT_TRUE(ev.has_value());
+            // True LRU without touches: the oldest fill goes first.
+            EXPECT_EQ(ev->lineAddr, lines[lines.size() - cfg.assoc]);
+        }
+        lines.push_back(line);
+    }
 }
 
 TEST(Cache, MissThenHit)

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+
+#include "cache_test_util.hh"
 #include "common/rng.hh"
 #include "detectors/meta_cache.hh"
 
@@ -150,6 +155,51 @@ TEST_P(MetaCacheProperty, CapacityAndFreshnessInvariants)
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MetaCacheProperty, ::testing::Bool());
+
+/**
+ * MetaCache places lines by CacheConfig::setIndex: over seeded random
+ * lines, exactly the ones the reference puts in one set compete for
+ * its ways, and each displaced address is one that was looked up.
+ */
+class MetaCacheIndexing : public ::testing::TestWithParam<CacheConfig>
+{
+};
+
+TEST_P(MetaCacheIndexing, SetsFollowTheReferenceIndex)
+{
+    const CacheConfig geom = GetParam();
+    MetaCache<Payload> mc(geom, false);
+    Rng rng(geom.sizeBytes ^ geom.assoc);
+    // Per reference set: resident lines, oldest first.
+    std::map<std::uint64_t, std::deque<Addr>> sets;
+    // Enough lookups over twice the capacity to both hit and evict.
+    const std::uint64_t lookups = 8 * geom.numSets() * geom.assoc;
+    for (std::uint64_t i = 0; i < lookups; ++i) {
+        const Addr a =
+            i % 4 == 0 ? rng.next64() : rng.below(2 * geom.sizeBytes);
+        const Addr line = geom.lineAddr(a);
+        std::deque<Addr> &set = sets[geom.setIndex(a)];
+        bool fresh = false;
+        Addr evicted = invalidAddr;
+        mc.lookup(a, fresh, &evicted);
+        auto it = std::find(set.begin(), set.end(), line);
+        ASSERT_EQ(fresh, it == set.end()) << std::hex << a;
+        if (!fresh) {
+            set.erase(it); // a hit makes the line most recent
+        } else if (set.size() == geom.assoc) {
+            ASSERT_EQ(evicted, set.front()) << std::hex << a;
+            set.pop_front();
+        } else {
+            ASSERT_EQ(evicted, invalidAddr) << std::hex << a;
+        }
+        set.push_back(line);
+    }
+    EXPECT_GT(mc.hits(), 0u);
+    EXPECT_GT(mc.evictions(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, MetaCacheIndexing,
+                         indexingGeometries());
 
 } // namespace
 } // namespace hard

@@ -3,16 +3,22 @@
  * Tests for the stats v2 framework: histogram bucket-edge behaviour
  * (zero, log2 boundaries, max-u64, linear clamping), distribution
  * moments, zero-denominator formulas, cross-kind name collisions,
- * group reset, sorted dumps, the hierarchical StatRegistry (duplicate
- * group names, dotted-path lookup, schema tag), statFromJson, the
- * pluggable warn()/inform() log sink, and intervalsPathFor.
+ * group reset, sorted dumps, lazily bound CounterRef handles (and the
+ * non-copyable owners that hold them), the hierarchical StatRegistry
+ * (duplicate group names, dotted-path lookup, schema tag),
+ * statFromJson, the pluggable warn()/inform() log sink, and
+ * intervalsPathFor.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <type_traits>
 
+#include "coherence/memsys.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "telemetry/sampler.hh"
@@ -169,6 +175,95 @@ TEST(StatGroup, JsonOmitsEmptySections)
     StatGroup g("g");
     g.counter("n").set(4);
     EXPECT_EQ(g.toJson().dump(), "{\"counters\":{\"n\":4}}");
+}
+
+TEST(CounterRef, UntouchedHandleLeavesTheGroupUnchanged)
+{
+    StatGroup g("g");
+    g.counter("other").set(2);
+    CounterRef ref(g, "hits");
+    EXPECT_FALSE(g.has("hits"));
+    EXPECT_EQ(g.value("hits"), 0u);
+    ASSERT_EQ(g.dump().size(), 1u);
+    EXPECT_EQ(g.dump()[0].first, "g.other");
+    EXPECT_EQ(g.toJson().dump(), "{\"counters\":{\"other\":2}}");
+}
+
+TEST(CounterRef, FirstTouchMakesTheCounterVisible)
+{
+    StatGroup g("g");
+    CounterRef ref(g, "hits");
+    ++*ref;
+    *ref += 2;
+    EXPECT_TRUE(g.has("hits"));
+    EXPECT_EQ(g.value("hits"), 3u);
+    EXPECT_EQ((*ref).value(), 3u);
+    EXPECT_EQ(g.toJson().dump(), "{\"counters\":{\"hits\":3}}");
+}
+
+TEST(CounterRef, ResetKeepsTheCounterVisibleAtZero)
+{
+    StatGroup g("g");
+    CounterRef ref(g, "hits");
+    ++*ref;
+    g.reset();
+    EXPECT_TRUE(g.has("hits"));
+    EXPECT_EQ(g.toJson().dump(), "{\"counters\":{\"hits\":0}}");
+    // The bound handle still counts into the same counter.
+    ++*ref;
+    EXPECT_EQ(g.value("hits"), 1u);
+}
+
+TEST(CounterRef, TwoHandlesOnOneNameShareOneCounter)
+{
+    StatGroup g("g");
+    CounterRef a(g, "hits");
+    CounterRef b(g, "hits");
+    ++*a;
+    ++*b;
+    EXPECT_EQ(g.value("hits"), 2u);
+    EXPECT_EQ(&*a, &*b);
+    EXPECT_EQ(&*a, &g.counter("hits"));
+    EXPECT_EQ(g.dump().size(), 1u);
+}
+
+TEST(CounterRefDeath, HistogramNamePanicsOnFirstTouch)
+{
+    StatGroup g("g");
+    g.histogram("lat");
+    CounterRef ref(g, "lat"); // constructing binds nothing yet
+    EXPECT_DEATH(++*ref, "collides");
+}
+
+// Owners of handles into their own StatGroup: a copy or a move would
+// leave the handles pointing into the old object.
+static_assert(!std::is_copy_constructible_v<Bus>);
+static_assert(!std::is_move_constructible_v<Bus>);
+static_assert(!std::is_copy_constructible_v<SetAssocCache>);
+static_assert(!std::is_move_constructible_v<SetAssocCache>);
+static_assert(!std::is_copy_constructible_v<MemorySystem>);
+static_assert(!std::is_move_constructible_v<MemorySystem>);
+
+TEST(BusStats, EachTransactionTypeCountsUnderItsOwnName)
+{
+    const TxnType all[] = {TxnType::BusRd,         TxnType::BusRdX,
+                           TxnType::BusUpgr,       TxnType::Writeback,
+                           TxnType::MetaBroadcast, TxnType::MetaDirectory};
+    static_assert(std::size(all) == kNumTxnTypes);
+    for (TxnType t : all) {
+        Bus bus(BusConfig{});
+        bus.transact(t, 0);
+        const std::string name = std::string("txn.") + txnName(t);
+        EXPECT_EQ(bus.stats().value(name), 1u) << name;
+        // Exactly one txn.* counter exists, plus the byte and cycle
+        // totals this type touches.
+        unsigned txn_counters = 0;
+        for (const auto &kv : bus.stats().dump())
+            txn_counters += kv.first.rfind("bus.txn.", 0) == 0;
+        EXPECT_EQ(txn_counters, 1u) << name;
+        EXPECT_EQ(bus.stats().value("busyCycles"),
+                  BusConfig{}.occupancy(t));
+    }
 }
 
 TEST(StatRegistry, DuplicateGroupNamePanics)

@@ -303,5 +303,42 @@ TEST(Telemetry, StatsRoundTripThroughRunJson)
     EXPECT_EQ(oh.hardStats.dump(), results[0].overhead.hardStats.dump());
 }
 
+/**
+ * Bus counters appear only once something touches them: a run without
+ * HARD timing never broadcasts metadata, so its hard.stats.v1 document
+ * carries no metadata keys at all (not zeros); with HARD timing both
+ * keys are present. Binding the bus's counter handles eagerly would
+ * break this and silently change every stats document.
+ */
+TEST(Telemetry, MetadataBusCountersAppearOnlyUnderHardTiming)
+{
+    auto busCounters = [](const Json &stats) {
+        return stats["groups"]["bus"]["counters"];
+    };
+
+    Program prog = buildWorkload("barnes", tinyParams());
+    System sys(defaultSimConfig(), prog);
+    ASSERT_FALSE(sys.config().hardTiming.enabled);
+    HardDetector hard("hard", HardConfig{});
+    sys.addObserver(&hard);
+    sys.run();
+    const Json plain = busCounters(sys.statsJson());
+    EXPECT_TRUE(plain.has("dataBytes"));
+    EXPECT_TRUE(plain.has("txn.BusRd"));
+    EXPECT_FALSE(plain.has("metaBytes"));
+    EXPECT_FALSE(plain.has("txn.MetaBroadcast"));
+
+    OverheadResult oh = measureOverhead("barnes", tinyParams(),
+                                        defaultSimConfig(), HardConfig{},
+                                        /*collect_stats=*/true);
+    EXPECT_FALSE(busCounters(oh.baseStats).has("metaBytes"));
+    EXPECT_FALSE(busCounters(oh.baseStats).has("txn.MetaBroadcast"));
+    const Json timed = busCounters(oh.hardStats);
+    ASSERT_TRUE(timed.has("metaBytes"));
+    ASSERT_TRUE(timed.has("txn.MetaBroadcast"));
+    EXPECT_GT(timed["metaBytes"].asUint(), 0u);
+    EXPECT_EQ(timed["metaBytes"].asUint(), 3 * oh.metaBroadcasts);
+}
+
 } // namespace
 } // namespace hard
